@@ -1,9 +1,11 @@
 """Microbenchmarks of the core numerical primitives.
 
 These time the inner-loop costs that dominate every BO experiment:
-GP / multi-task-GP fitting, posterior prediction, hypervolume and the
-Monte-Carlo EIPV estimator.  Useful for catching performance
-regressions in the math kernels.
+GP / multi-task-GP fitting, one LML+gradient evaluation at the GEMM
+run's shapes, posterior prediction, hypervolume and the Monte-Carlo
+EIPV estimator.  Useful for catching performance regressions in the
+math kernels.  ``--benchmark-disable`` runs each body once as a smoke
+test.
 """
 
 import numpy as np
@@ -40,6 +42,40 @@ def test_multitask_fit(benchmark, data):
         lambda: MultiTaskGP(3, rng=np.random.default_rng(0)).fit(X, Y),
         rounds=3, iterations=1,
     )
+
+
+@pytest.mark.parametrize("n, d", [(6, 14), (6, 17), (27, 14), (27, 17)])
+def test_multitask_lml_grad(benchmark, n, d):
+    """One ``_neg_lml_and_grad`` call at a GEMM refit's shape (m = 3).
+
+    GEMM's encoded space has 14-17 features; upper fidelity levels
+    hold ~6 points during a run and the lowest up to ~27.
+    """
+    rng = np.random.default_rng(n * 100 + d)
+    X = rng.uniform(size=(n, d))
+    Z = rng.normal(size=(n, 3))
+    model = MultiTaskGP(3)
+    params = model._default_init(Z, d)
+    diffs = model.kernel.pairwise_diffs(X)
+    value, grad = benchmark(
+        lambda: model._neg_lml_and_grad(params, X, Z, diffs)
+    )
+    assert np.isfinite(value) and np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("n", [6, 27])
+def test_gp_lml_grad(benchmark, n):
+    """Single-output counterpart (FPL18 / independent-objective fits)."""
+    rng = np.random.default_rng(n)
+    X = rng.uniform(size=(n, 14))
+    z = rng.normal(size=n)
+    model = GaussianProcess()
+    theta = np.zeros(16)
+    diffs = model.kernel.pairwise_diffs(X)
+    value, grad = benchmark(
+        lambda: model._neg_lml_and_grad(theta, X, z, diffs)
+    )
+    assert np.isfinite(value) and np.isfinite(grad).all()
 
 
 def test_multitask_predict(benchmark, data):

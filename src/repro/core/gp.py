@@ -215,12 +215,11 @@ class GaussianProcess:
         diffs: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
         n, dim = X.shape
-        K, kernel_grads = self.kernel.with_gradients(X, theta[:-1], diffs=diffs)
+        K, G = self.kernel.with_gradients(X, theta[:-1], diffs=diffs)
         noise = math.exp(theta[-1])
-        Kn = K.copy()
-        Kn[np.diag_indices_from(Kn)] += noise + JITTER
+        K[np.diag_indices_from(K)] += noise + JITTER
         try:
-            L = linalg.chol_factor(Kn)
+            L = linalg.chol_factor(K)
         except np.linalg.LinAlgError:
             return 1e10, np.zeros_like(theta)
         alpha = linalg.counted_cho_solve(L, z)
@@ -229,12 +228,13 @@ class GaussianProcess:
             - float(np.sum(np.log(np.diag(L))))
             - 0.5 * n * math.log(2.0 * math.pi)
         )
-        # dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta)
+        # dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta); each
+        # trace is a row sum of the contiguous product, bitwise equal to
+        # np.sum over the (n, n) matrix (see MultiTaskGP._neg_lml_and_grad).
         Kinv = linalg.counted_cho_solve(L, np.eye(n))
         W = np.outer(alpha, alpha) - Kinv
         grad = np.empty_like(theta)
-        for k, dK in enumerate(kernel_grads):
-            grad[k] = 0.5 * float(np.sum(W * dK))
+        grad[:-1] = 0.5 * (W * G).reshape(len(G), n * n).sum(axis=1)
         grad[-1] = 0.5 * noise * float(np.trace(W))
         return -lml, -grad
 

@@ -100,28 +100,52 @@ class StationaryKernel(abc.ABC):
     def with_gradients(
         self, X: np.ndarray, theta: np.ndarray,
         diffs: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """K(X, X) plus ``dK/dtheta_k`` for every log-parameter.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """K(X, X) plus the gradient tensor ``dK/dtheta``.
 
-        ``diffs`` optionally carries :meth:`pairwise_diffs` output for
-        ``X`` (identical results, skips the tensor rebuild).
+        ``theta`` is one parameter vector ``(1+d,)`` or a batch of rows
+        ``(p, 1+d)``.  Returns ``K`` of shape ``(n, n)`` (``(p, n, n)``)
+        and ``G`` of shape ``(1+d, n, n)`` (``(p, 1+d, n, n)``) with
+        ``G[..., k, :, :] = dK/dtheta_k``; ``G[..., 0, :, :]`` equals
+        ``K`` (the log signal-variance derivative) but is a separate
+        array, so callers may modify ``K`` in place.  ``diffs``
+        optionally carries :meth:`pairwise_diffs` output for ``X``
+        (identical results, skips the tensor rebuild).
+
+        Batching is bitwise neutral: every entry is the same
+        element-wise expression as for a single row,
+        ``(sf2 * dcorr) * (-2 sq_k)``, and the squared distance is
+        summed over the last axis of the ``(n, n, d)`` layout.
         """
         X = _as_2d(X)
-        dim = X.shape[1]
-        sf2, ls = self.split(theta, dim)
-        # Per-dimension scaled squared distances (needed by ARD grads).
+        n, dim = X.shape
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim not in (1, 2) or theta.shape[-1] != 1 + dim:
+            raise ValueError(
+                f"expected {1 + dim} kernel parameters per row, "
+                f"got {theta.shape}"
+            )
         if diffs is None:
-            diffs = X[:, None, :] - X[None, :, :]
-        scaled = diffs / ls
+            diffs = self.pairwise_diffs(X)
+        rows = np.exp(theta.reshape(-1, 1 + dim))
+        sf2 = rows[:, 0, None, None]
+        # Per-dimension scaled squared distances (needed by ARD grads).
+        scaled = diffs / rows[:, None, None, 1:]
         sq_per_dim = scaled * scaled
-        sq = np.sum(sq_per_dim, axis=2)
+        sq = np.sum(sq_per_dim, axis=-1)
         corr, dcorr_dsq = self._corr_and_grad(sq)
         K = sf2 * corr
-        grads: list[np.ndarray] = [K.copy()]  # d/dlog sf2 = K
-        for k in range(dim):
-            # d sq / d log ls_k = -2 * sq_k
-            grads.append(sf2 * dcorr_dsq * (-2.0 * sq_per_dim[:, :, k]))
-        return K, grads
+        G = np.empty((len(rows), 1 + dim, n, n))
+        G[:, 0] = K  # d/dlog sf2 = K
+        # d sq / d log ls_k = -2 * sq_k
+        np.multiply(sq_per_dim, -2.0, out=sq_per_dim)
+        np.multiply(
+            (sf2 * dcorr_dsq)[:, None],
+            sq_per_dim.transpose(0, 3, 1, 2),
+            out=G[:, 1:],
+        )
+        batch = theta.shape[:-1]
+        return K.reshape(batch + (n, n)), G.reshape(batch + (1 + dim, n, n))
 
     @abc.abstractmethod
     def _corr(self, sq: np.ndarray) -> np.ndarray:

@@ -28,7 +28,10 @@ Two jobs in one module:
   counter.  Counted flops depend only on matrix sizes — never on core
   count, machine load or clock resolution — so the perf gates in
   ``benchmarks/*.py`` can arm on them even on a 1-CPU CI runner where
-  wall-clock speedup assertions are meaningless.
+  wall-clock speedup assertions are meaningless.  The same counter
+  also tallies the hyperparameter optimizer's work
+  (:func:`repro.core.restarts.minimize_multistart`): LML evaluations
+  (``lml_evals``) and L-BFGS iterations (``lbfgs_iters``).
 
 The wrapped factorization is plain :func:`scipy.linalg.cholesky`, so
 routing through :func:`chol_factor` is bitwise neutral.
@@ -66,7 +69,7 @@ def extend_flops(n_old: int, k: int) -> int:
 
 
 class FlopCounter:
-    """Thread-safe counters for factorization/solve work.
+    """Thread-safe counters for factorization/solve and MLE work.
 
     One process-global instance (:data:`FLOPS`) is shared by every GP;
     callers snapshot before/after a region and difference the dicts,
@@ -79,6 +82,8 @@ class FlopCounter:
         "solve_flops",
         "factorizations",
         "extensions",
+        "lml_evals",
+        "lbfgs_iters",
     )
 
     def __init__(self) -> None:

@@ -347,7 +347,8 @@ class MultiTaskGP:
         m = self.n_tasks
         nk = self._nk(dim)
         if Z.shape[0] >= 3:
-            corr = np.corrcoef(Z.T)
+            # 0-d for a single task, hence atleast_2d.
+            corr = np.atleast_2d(np.corrcoef(Z.T))
             corr = np.nan_to_num(corr, nan=0.0)
             np.fill_diagonal(corr, 1.0)
         else:
@@ -408,22 +409,32 @@ class MultiTaskGP:
         Z: np.ndarray,
         diffs: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
+        """Negative LML and its gradient at the packed ``params``.
+
+        Bitwise equal to one ``np.sum`` per trace over ``(n, n)``
+        blocks: the shared and private kernels come from one batched
+        :meth:`~repro.core.kernels.StationaryKernel.with_gradients`
+        call, and every trace ``tr(A dK)`` is a row sum of a contiguous
+        ``(p, n*n)`` product, which numpy reduces with the same pairwise
+        summation as the ``(n, n)`` sum.  ``Wb = sum_ij B_ij W_ij``
+        accumulates sequentially over axis 0 in the ``(i, j)`` loop
+        order.  No ``einsum``/``@`` is used for traces: they reassociate.
+        """
         n, dim = X.shape
         m = self.n_tasks
         theta_s, L, theta_p, log_noise = self._unpack(params, dim)
-        Kx, shared_grads = self.kernel.with_gradients(X, theta_s, diffs=diffs)
+        # Row 0: shared kernel; rows 1..m: private kernels (if any).
+        Ks, Gs = self.kernel.with_gradients(
+            X, np.vstack([theta_s, theta_p]), diffs=diffs
+        )
+        Kx = Ks[0]
         B = L @ L.T
         K = _kron2(B, Kx)
-        private_grads: list[list[np.ndarray]] = []
+        tasks = np.arange(m)
         if self.private_processes:
-            for t in range(m):
-                Kp, grads_p = self.kernel.with_gradients(
-                    X, theta_p[t], diffs=diffs
-                )
-                K[t * n : (t + 1) * n, t * n : (t + 1) * n] += Kp
-                private_grads.append(grads_p)
+            K.reshape(m, n, m, n)[tasks, :, tasks, :] += Ks[1:]
         noise = np.exp(log_noise)
-        K[np.diag_indices_from(K)] += np.repeat(noise, n) + JITTER
+        K.reshape(-1)[:: n * m + 1] += np.repeat(noise, n) + JITTER
         try:
             Lc = linalg.chol_factor(K)
         except np.linalg.LinAlgError:
@@ -437,39 +448,31 @@ class MultiTaskGP:
         )
         Kinv = linalg.counted_cho_solve(Lc, np.eye(n * m))
         W = np.outer(alpha, alpha) - Kinv
+        # Wt[i, j] = W_ij, the (n, n) block of task pair (i, j).
+        Wt = np.ascontiguousarray(W.reshape(m, n, m, n).transpose(0, 2, 1, 3))
+        W_diag = Wt[tasks, tasks]
 
         # Block traces T[i, j] = tr(W_ij Kx) drive the task-matrix grads;
         # Wb = sum_ij B_ij W_ij drives the shared-kernel grads.
-        T = np.empty((m, m))
-        Wb = np.zeros((n, n))
-        W_diag_blocks = []
-        for i in range(m):
-            W_diag_blocks.append(W[i * n : (i + 1) * n, i * n : (i + 1) * n])
-            for j in range(m):
-                Wij = W[i * n : (i + 1) * n, j * n : (j + 1) * n]
-                T[i, j] = float(np.sum(Wij * Kx))
-                Wb += B[i, j] * Wij
+        T = (Wt * Kx).reshape(m, m, n * n).sum(axis=2)
+        Wb = (B[:, :, None, None] * Wt).reshape(m * m, n, n).sum(axis=0)
+        # Pair Wb with the shared gradients and W_tt with task t's private
+        # ones; all kernel-parameter traces in one product and row sum.
+        A = Wb[None]
+        if self.private_processes:
+            A = np.concatenate([A, W_diag])
+        kernel_grad = 0.5 * (A[:, None] * Gs).reshape(-1, n * n).sum(axis=1)
 
         grad = np.empty_like(params)
         nk = self._nk(dim)
-        for k, dKx in enumerate(shared_grads):
-            grad[k] = 0.5 * float(np.sum(Wb * dKx))
+        grad[:nk] = kernel_grad[:nk]
         # d/dL_ab of 0.5 sum_ij dB_ij T_ij with dB = E_ab L^T + L E_ab^T
         grad_L = T @ L
         rows, cols = _tril_indices(m)
         nl = len(rows)
         grad[nk : nk + nl] = grad_L[rows, cols]
-        offset = nk + nl
-        if self.private_processes:
-            for t in range(m):
-                Wtt = W_diag_blocks[t]
-                for k, dKp in enumerate(private_grads[t]):
-                    grad[offset + t * nk + k] = 0.5 * float(np.sum(Wtt * dKp))
-            offset += m * nk
-        for t in range(m):
-            grad[offset + t] = 0.5 * noise[t] * float(
-                np.trace(W_diag_blocks[t])
-            )
+        grad[nk + nl : -m] = kernel_grad[nk:]
+        grad[-m:] = 0.5 * noise * np.trace(W_diag, axis1=1, axis2=2)
         return -lml, -grad
 
     def _optimize(

@@ -281,6 +281,11 @@ def hvi(y: np.ndarray, front: np.ndarray, ref: np.ndarray) -> float:
     return max(0.0, grown - base)
 
 
+#: Elements per (rows, n_boxes) work buffer in :func:`hvi_batch` — two
+#: 512 KiB buffers, small enough to stay cache-resident.
+_HVI_CHUNK_ELEMS = 1 << 16
+
+
 def hvi_batch(
     samples: np.ndarray, front: np.ndarray, ref: np.ndarray,
     boxes: np.ndarray | None = None,
@@ -292,9 +297,18 @@ def hvi_batch(
         HVI(y) = vol(box[y, ref]) − vol(box[y, ref] ∩ dominated(front)),
 
     with the dominated region pre-decomposed into disjoint boxes, so the
-    intersection volume is a single (n × n_boxes × M) numpy reduction.
+    intersection volume is an (n × n_boxes) product summed per sample.
     Pass ``boxes`` to reuse a decomposition across calls within one
     optimization step.
+
+    The (n, n_boxes) products are built one objective plane at a time
+    in cache-sized row chunks with in-place ufuncs.  Every element goes
+    through the same operations in the same order as the plain
+    broadcast ``prod(clip(high - max(y, low), 0), axis=-1).sum(axis=1)``
+    — per-element maximum/subtract/clip, sequential product over the
+    objectives, numpy's per-row sum of a contiguous (rows, n_boxes)
+    array — so results are bitwise identical to it, only without the
+    (n, n_boxes, M) temporaries.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     ref = np.asarray(ref, dtype=float)
@@ -302,17 +316,32 @@ def hvi_batch(
         boxes = dominated_boxes(front, ref)
     edge = np.clip(ref[None, :] - samples, 0.0, None)
     own = _prod_last_axis(edge)
-    if boxes.shape[0] == 0:
+    n_boxes = boxes.shape[0]
+    if n_boxes == 0:
         return own
-    lows = boxes[:, 0, :]  # (B, M)
-    highs = boxes[:, 1, :]
-    # Intersection of [max(y, low), high] per box, clipped at ref already.
     # Intersection of each box [low, high] with the sample's own box
     # [y, ref]; box highs never exceed ref by construction.
-    lo = np.maximum(samples[:, None, :], lows[None, :, :])
-    ext = np.clip(highs[None, :, :] - lo, 0.0, None)
-    inter = _prod_last_axis(ext).sum(axis=1)
+    lows = np.ascontiguousarray(boxes[:, 0, :].T)  # (M, B)
+    highs = np.ascontiguousarray(boxes[:, 1, :].T)
+    cols = np.ascontiguousarray(samples.T)  # (M, n)
+    n = samples.shape[0]
+    rows = max(1, min(n, _HVI_CHUNK_ELEMS // n_boxes))
+    acc = np.empty((rows, n_boxes))
+    ext = np.empty((rows, n_boxes))
+    inter = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        a, e = acc[: stop - start], ext[: stop - start]
+        for k in range(cols.shape[0]):
+            t = a if k == 0 else e
+            np.maximum(cols[k, start:stop, None], lows[k], out=t)
+            np.subtract(highs[k], t, out=t)
+            np.maximum(t, 0.0, out=t)
+            if k:
+                np.multiply(a, e, out=a)
+        a.sum(axis=1, out=inter[start:stop])
     return np.maximum(own - inter, 0.0)
+
 
 
 def _prod_last_axis(a: np.ndarray) -> np.ndarray:

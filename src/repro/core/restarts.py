@@ -43,6 +43,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from repro.core.linalg import FLOPS
+
 #: Environment variable holding the default pool size (unset/1 = off).
 RESTART_WORKERS_ENV = "REPRO_RESTART_WORKERS"
 
@@ -66,8 +68,12 @@ def _descend(
     args: tuple,
     bounds: Sequence[tuple[float, float]],
     maxiter: int,
-) -> tuple[float, np.ndarray]:
-    """One L-BFGS-B descent (module-level: picklable worker body)."""
+) -> tuple[float, np.ndarray, int, int]:
+    """One L-BFGS-B descent (module-level: picklable worker body).
+
+    Returns ``(fun, x, nfev, nit)``: the optimum plus the objective
+    evaluations and iterations it took.
+    """
     result = minimize(
         fun,
         start,
@@ -77,7 +83,10 @@ def _descend(
         bounds=list(bounds),
         options={"maxiter": maxiter},
     )
-    return float(result.fun), np.asarray(result.x, dtype=float)
+    return (
+        float(result.fun), np.asarray(result.x, dtype=float),
+        int(result.nfev), int(result.nit),
+    )
 
 
 def minimize_multistart(
@@ -95,6 +104,11 @@ def minimize_multistart(
     strictly smallest objective; ``fallback`` (default ``starts[0]``)
     if every descent reports a non-finite/huge objective — matching the
     sequential loops this replaces bit for bit.
+
+    The descents' objective evaluations and L-BFGS iterations are
+    credited to :data:`repro.core.linalg.FLOPS` (``lml_evals``,
+    ``lbfgs_iters``), so :func:`repro.core.linalg.metered` reports them
+    per refit; the counts are the same at any worker count.
     """
     starts = [np.asarray(s, dtype=float) for s in starts]
     if not starts:
@@ -103,7 +117,7 @@ def minimize_multistart(
         fallback = starts[0]
     workers = resolve_workers(workers)
 
-    results: list[tuple[float, np.ndarray]] | None = None
+    results: list[tuple[float, np.ndarray, int, int]] | None = None
     if workers > 1 and len(starts) > 1:
         results = _descend_parallel(
             fun, starts, args, bounds, maxiter, workers
@@ -113,9 +127,11 @@ def minimize_multistart(
             _descend(fun, start, args, bounds, maxiter) for start in starts
         ]
 
+    FLOPS.add("lml_evals", sum(r[2] for r in results))
+    FLOPS.add("lbfgs_iters", sum(r[3] for r in results))
     best_x = np.asarray(fallback, dtype=float)
     best_val = math.inf
-    for val, x in results:  # replay of the sequential selection scan
+    for val, x, _nfev, _nit in results:  # the sequential selection scan
         if val < best_val:
             best_val, best_x = val, x
     return best_x
@@ -169,7 +185,7 @@ def _descend_parallel(
     bounds: Sequence[tuple[float, float]],
     maxiter: int,
     workers: int,
-) -> list[tuple[float, np.ndarray]] | None:
+) -> list[tuple[float, np.ndarray, int, int]] | None:
     """All descents through the shared pool, results in start order.
 
     Returns ``None`` when the pool cannot run the objective (e.g. an

@@ -67,12 +67,16 @@ def scrape_loop(
 
     ``stop`` is an optional ``threading.Event``-like object checked
     between ticks (the bench harness scrapes from a sidecar thread).
+    Once it is set, one last tick runs before returning, so the series
+    ends at the state the endpoints had when the caller stopped it —
+    not up to ``interval_s`` earlier.
     """
     paths = {url: _out_path(out, url) for url in urls}
     for path in paths.values():
         path.parent.mkdir(parents=True, exist_ok=True)
     written = 0
     tick = 0
+    stopped = False
     while True:
         for url in urls:
             record = scrape_once(url, timeout_s=timeout_s)
@@ -80,11 +84,11 @@ def scrape_loop(
                 handle.write(json.dumps(record) + "\n")
             written += 1
         tick += 1
-        if count is not None and tick >= count:
+        if stopped or (count is not None and tick >= count):
             return written
-        if stop is not None and stop.wait(interval_s):
-            return written
-        if stop is None:
+        if stop is not None:
+            stopped = stop.wait(interval_s)
+        else:
             time.sleep(interval_s)
 
 

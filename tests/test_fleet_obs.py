@@ -40,7 +40,7 @@ from repro.obs.prom import (
     render_metrics,
 )
 from repro.obs.report import summarize_run
-from repro.obs.scrape import _out_path, read_series, scrape_once
+from repro.obs.scrape import _out_path, read_series, scrape_loop, scrape_once
 from repro.obs.slo import Rule, SloError, evaluate_rules, parse_rules
 from repro.obs.spans import format_trace_context, parse_trace_context
 from repro.obs.trace import TRACE_SCHEMA_VERSION
@@ -269,6 +269,19 @@ class TestScrape:
         record = scrape_once("http://127.0.0.1:9/metrics", timeout_s=0.5)
         assert record["ok"] is False
         assert "error" in record
+
+    def test_scrape_loop_ticks_once_more_after_stop(self, tmp_path):
+        """A stop set mid-interval still gets a final scrape, so the
+        series records the endpoints' state at stop time."""
+        stop = threading.Event()
+        stop.set()
+        out = tmp_path / "a.metrics.jsonl"
+        written = scrape_loop(
+            ["http://127.0.0.1:9/metrics"], out, interval_s=60.0,
+            timeout_s=0.5, stop=stop,
+        )
+        assert written == 2
+        assert len(out.read_text().splitlines()) == 2
 
     def test_read_series_skips_gaps_and_torn_lines(self, tmp_path):
         path = tmp_path / "a.metrics.jsonl"

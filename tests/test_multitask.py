@@ -112,6 +112,16 @@ class TestMultiTaskGP:
         with pytest.raises(ValueError, match="sample count"):
             mt.fit(np.zeros((5, 2)), np.zeros((4, 3)))
 
+    def test_single_task_fit_and_predict(self, correlated_data):
+        # np.corrcoef of one task is 0-d; the default init must cope.
+        X, Y = correlated_data
+        mt = MultiTaskGP(1, rng=np.random.default_rng(0)).fit(X, Y[:, :1])
+        mean, cov = mt.predict(X[:5])
+        assert mean.shape == (5, 1) and cov.shape == (5, 1, 1)
+        assert np.all(cov > 0)
+        assert np.abs(mean[:, 0] - Y[:5, 0]).max() < 0.2
+        assert np.isfinite(mt.log_marginal_likelihood())
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             MultiTaskGP(2).predict(np.zeros((1, 2)))

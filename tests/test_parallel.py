@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import linalg
 from repro.core import restarts as restarts_mod
 from repro.core.gp import GaussianProcess
 from repro.core.restarts import (
@@ -37,6 +38,7 @@ from repro.hlsim.gtcache import (
     scan_cache,
 )
 from repro.hlsim.gtcache import main as gtcache_main
+from repro.obs.timing import Metrics
 from repro.obs.trace import JOB_TRACE_FIELDS, TRACE_SCHEMA_VERSION, read_trace
 
 BENCH = "spmv_ellpack"
@@ -262,6 +264,21 @@ class TestRestartPool:
             n_restarts=3, rng=np.random.default_rng(9), restart_workers=2
         ).fit(X, y)
         assert np.array_equal(seq.theta, par.theta)
+
+    def test_work_counters_identical_in_pool(self):
+        starts = [np.array([0.0, 1.0]), np.array([4.0, -3.0])]
+        deltas = []
+        for workers in (1, 2):
+            metrics = Metrics()
+            with linalg.metered(metrics, "fit"):
+                minimize_multistart(
+                    _quad, starts, args=(np.array([2.0, 0.5]),),
+                    bounds=[(-10.0, 10.0)] * 2, maxiter=50, workers=workers,
+                )
+            deltas.append(metrics.snapshot())
+        assert deltas[0] == deltas[1]
+        assert deltas[0]["fit_lml_evals"] >= deltas[0]["fit_lbfgs_iters"] > 0
+        shutdown_restart_pools()
 
     def test_unpicklable_objective_falls_back(self):
         captured = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.core.pareto as pareto_module
 from repro.core.pareto import (
     default_reference,
     dominated_boxes,
@@ -141,6 +142,37 @@ class TestHVI:
         exact = np.array([hvi(s, front, ref) for s in samples])
         fast = hvi_batch(samples, front, ref)
         assert np.allclose(exact, fast, atol=1e-9)
+
+    @given(
+        point_sets(),
+        st.integers(1, 300),
+        st.sampled_from([8, 64, 1 << 16]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_bitwise_matches_broadcast_reference(
+        self, Y, n_samples, chunk_elems, seed
+    ):
+        """The chunked plane-wise sweep equals the one-shot broadcast
+        formula bit for bit, whatever the chunking."""
+        ref = np.full(Y.shape[1], 1.2)
+        boxes = dominated_boxes(Y, ref)
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-0.2, 1.5, size=(n_samples, Y.shape[1]))
+        samples[rng.random(samples.shape) < 0.1] = 1.2  # on the ref face
+
+        own = np.clip(ref[None, :] - samples, 0.0, None).prod(axis=1)
+        lo = np.maximum(samples[:, None, :], boxes[None, :, 0, :])
+        ext = np.clip(boxes[None, :, 1, :] - lo, 0.0, None)
+        expected = np.maximum(own - ext.prod(axis=2).sum(axis=1), 0.0)
+
+        saved = pareto_module._HVI_CHUNK_ELEMS
+        pareto_module._HVI_CHUNK_ELEMS = chunk_elems
+        try:
+            got = hvi_batch(samples, Y, ref, boxes=boxes)
+        finally:
+            pareto_module._HVI_CHUNK_ELEMS = saved
+        assert got.tobytes() == expected.tobytes()
 
     def test_dominated_sample_has_zero_hvi(self):
         front = np.array([[0.2, 0.2]])
